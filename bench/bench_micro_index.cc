@@ -1,10 +1,12 @@
 // Micro-benchmarks (google-benchmark) backing the paper's complexity
 // analyses: R-tree build & range aggregation, grid prefix-sum queries,
-// LSR-Forest per-level query cost.
+// LSR-Forest per-level query cost, the OPTA histogram estimate and one
+// silo's NonIID-est boundary-cell vector.
 
 #include <benchmark/benchmark.h>
 
 #include "core/lsr_forest.h"
+#include "federation/silo.h"
 #include "index/equi_depth_histogram.h"
 #include "index/grid_index.h"
 #include "index/rtree.h"
@@ -128,6 +130,32 @@ void BM_HistogramEstimate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HistogramEstimate)->Unit(benchmark::kMicrosecond);
+
+// One silo's NonIID-est boundary-cell vector from T_0: L = 1.5 km cells,
+// r = 2 km circles.
+void BM_BoundaryCellVector(benchmark::State& state) {
+  Silo::Options options;
+  options.grid_spec.domain = kDomain;
+  options.grid_spec.cell_length = 1.5;
+  options.build_histogram = false;
+  const auto silo =
+      Silo::Create(0, MakeObjects(static_cast<size_t>(state.range(0))), options)
+          .ValueOrDie();
+  const auto queries = MakeQueries(512, 2.0);
+  size_t i = 0;
+  size_t cells = 0;
+  for (auto _ : state) {
+    const std::vector<CellContribution> contributions =
+        silo->BoundaryCellContributions(queries[i++ % queries.size()],
+                                        /*use_lsr=*/false, 0.1, 0.01, 0.0);
+    benchmark::DoNotOptimize(contributions.data());
+    cells += contributions.size();
+  }
+  state.counters["cells_per_call"] = benchmark::Counter(
+      static_cast<double>(cells), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_BoundaryCellVector)->Arg(125000)->Arg(250000)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_LsrForestBuild(benchmark::State& state) {
   const ObjectSet objects = MakeObjects(static_cast<size_t>(state.range(0)));

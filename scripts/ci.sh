@@ -3,7 +3,7 @@
 #
 #   scripts/ci.sh tracing-on      # default build (FRA_ENABLE_TRACING=ON), full ctest
 #   scripts/ci.sh tracing-off     # spans compiled out, full ctest
-#   scripts/ci.sh sanitize        # ASan+UBSan, observability-labeled tests
+#   scripts/ci.sh sanitize        # ASan+UBSan, observability/net/index tests
 #   scripts/ci.sh sanitize-thread # TSan, net-labeled tests (reactor/TCP/coalescer)
 #   scripts/ci.sh bench-smoke     # bench harnesses at smoke scale + BENCH_*.json
 #   scripts/ci.sh alloc-smoke     # warm-path allocation budget (buffer pool)
@@ -147,9 +147,11 @@ PYEOF
       )
       # The sanitized stage concentrates on the concurrency-heavy
       # surfaces (registry races, admin server, health tracker, the
-      # reactor and TCP transport); the plain stages run everything.
-      # -L is a regex: this selects both label families.
-      ctest_args+=(-L 'observability|net')
+      # reactor and TCP transport) and the silo-local index kernels
+      # (R-tree, LSR-Forest, grid, histogram, silo cell vectors); the
+      # plain stages run everything. -L is a regex: this selects all
+      # three label families.
+      ctest_args+=(-L 'observability|net|index')
       ;;
     sanitize-thread)
       cmake_args+=(

@@ -60,11 +60,14 @@ class LsrForest {
   AggregateSummary AggregateAtLevel(const QueryRange& range, int level,
                                     RTree::QueryStats* stats = nullptr) const;
 
-  /// Clipped variant of AggregateAtLevel: objects must lie in both `clip`
-  /// and `range`. Used for per-grid-cell contributions under LSR.
-  AggregateSummary AggregateAtLevelClipped(
-      const Rect& clip, const QueryRange& range, int level,
-      RTree::QueryStats* stats = nullptr) const;
+  /// Per-cell variant of AggregateAtLevel: element i aggregates the
+  /// objects of T_level inside both `cells[i]` and `range`, rescaled by
+  /// 2^level, from one RTree::RangeAggregateCells traversal. Backs the
+  /// NonIID-est(+LSR) boundary-cell vector. An empty forest yields empty
+  /// summaries.
+  std::vector<AggregateSummary> AggregateCellsAtLevel(
+      const std::vector<Rect>& cells, const QueryRange& range,
+      int level) const;
 
   /// Exact local answer from T_0.
   AggregateSummary ExactRangeAggregate(const QueryRange& range) const;

@@ -310,6 +310,8 @@ std::vector<CellContribution> CellContributionsImpl(
     level = LsrForest::SelectLevel(epsilon, delta, sum0, lsr.max_level());
   }
   std::vector<CellContribution> contributions;
+  std::vector<size_t> boundary;  // positions in `contributions`
+  std::vector<Rect> boundary_rects;
   grid.ForEachIntersectingCell(
       range, [&](size_t cell_id, CellRelation relation) {
         CellContribution contribution;
@@ -320,20 +322,30 @@ std::vector<CellContribution> CellContributionsImpl(
           // exact, no tree descent needed.
           contribution.summary = grid.cell(cell_id);
         } else {
-          const Rect cell_rect =
-              grid.CellRect(grid.RowOf(cell_id), grid.ColOf(cell_id));
-          contribution.summary =
-              use_lsr ? lsr.AggregateAtLevelClipped(cell_rect, range, level)
-                      : lsr.tree(0).RangeAggregateClipped(cell_rect, range);
-          if (!ingest_delta.empty()) {
-            contribution.summary.Merge(
-                SummarizeIf(ingest_delta, [&](const Point& p) {
-                  return cell_rect.Contains(p) && range.Contains(p);
-                }));
-          }
+          boundary.push_back(contributions.size());
+          boundary_rects.push_back(
+              grid.CellRect(grid.RowOf(cell_id), grid.ColOf(cell_id)));
         }
         contributions.push_back(contribution);
       });
+  if (boundary.empty()) return contributions;
+
+  // Boundary cells: one traversal of T_level for all of them, plus one
+  // scan of the uncompacted ingest delta bucketed into the same cells.
+  const std::vector<AggregateSummary> from_tree =
+      lsr.AggregateCellsAtLevel(boundary_rects, range, level);
+  std::vector<AggregateSummary> from_delta(boundary.size());
+  for (const SpatialObject& o : ingest_delta) {
+    if (!range.Contains(o.location)) continue;
+    for (size_t k = 0; k < boundary_rects.size(); ++k) {
+      if (boundary_rects[k].Contains(o.location)) from_delta[k].Add(o);
+    }
+  }
+  for (size_t k = 0; k < boundary.size(); ++k) {
+    AggregateSummary& summary = contributions[boundary[k]].summary;
+    summary = from_tree[k];
+    if (!ingest_delta.empty()) summary.Merge(from_delta[k]);
+  }
   return contributions;
 }
 

@@ -100,8 +100,12 @@ class Silo : public SiloEndpoint {
 
   /// NonIID-est (Alg. 3 with the boundary-cell optimisation): for every
   /// grid cell that intersects the *boundary* of `range`, the aggregate of
-  /// this silo's objects inside cell ∩ range. With `use_lsr`, per-cell
-  /// answers come from the Lemma-1 level of the LSR-Forest.
+  /// this silo's objects inside cell ∩ range (cells are closed, so an
+  /// object on a shared edge counts in each cell touching it). All cells
+  /// come from one traversal of T_0 — or, with `use_lsr`, of the Lemma-1
+  /// level T_l, rescaled by 2^l — plus one scan of the ingest delta. A
+  /// silo created from an empty partition answers from its ingest delta
+  /// alone (empty contributions until something is ingested).
   std::vector<CellContribution> BoundaryCellContributions(
       const QueryRange& range, bool use_lsr, double epsilon, double delta,
       double sum0) const;

@@ -1,8 +1,8 @@
 #include "geo/range.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <vector>
 
 namespace fra {
 namespace {
@@ -34,18 +34,27 @@ double CircleRectIntersectionArea(const Circle& circle, const Rect& rect) {
   //   [max(y0, -c(x)), min(y1, c(x))] with c(x) = sqrt(r^2 - x^2).
   // The active branch of min/max only changes where c(x) crosses y0 / y1,
   // so split at those abscissae and integrate each piece in closed form.
-  std::vector<double> cuts = {xa, xb};
+  // At most six abscissae: the two ends plus two crossings per edge.
+  std::array<double, 6> cuts = {xa, xb};
+  size_t num_cuts = 2;
   for (double y : {y0, y1}) {
     if (std::abs(y) < r) {
       const double xc = std::sqrt(r * r - y * y);
-      if (xc > xa && xc < xb) cuts.push_back(xc);
-      if (-xc > xa && -xc < xb) cuts.push_back(-xc);
+      if (xc > xa && xc < xb) cuts[num_cuts++] = xc;
+      if (-xc > xa && -xc < xb) cuts[num_cuts++] = -xc;
     }
   }
-  std::sort(cuts.begin(), cuts.end());
+  // Insertion sort: the order std::sort gives at this size, without the
+  // false -Warray-bounds GCC 12 reports for std::sort on a short array.
+  for (size_t i = 1; i < num_cuts; ++i) {
+    const double x = cuts[i];
+    size_t j = i;
+    for (; j > 0 && x < cuts[j - 1]; --j) cuts[j] = cuts[j - 1];
+    cuts[j] = x;
+  }
 
   double area = 0.0;
-  for (size_t i = 0; i + 1 < cuts.size(); ++i) {
+  for (size_t i = 0; i + 1 < num_cuts; ++i) {
     const double a = cuts[i];
     const double b = cuts[i + 1];
     if (b - a <= 0.0) continue;

@@ -41,17 +41,22 @@ EquiDepthHistogram EquiDepthHistogram::Build(ObjectSet objects,
     const Span span = stack.back();
     stack.pop_back();
     const size_t n = span.end - span.begin;
+    Node node;
     if (n <= target) {
+      node.bucket = static_cast<uint32_t>(hist.buckets_.size());
       hist.buckets_.push_back(MakeBucket(objects, span));
+      node.bounds = hist.buckets_.back().bounds;
+      hist.nodes_.push_back(node);
       continue;
     }
     // Median split along the wider axis of the span's bbox (equi-depth:
     // both halves hold the same number of objects).
-    Rect bbox = Rect::Empty();
+    node.bounds = Rect::Empty();
     for (size_t i = span.begin; i < span.end; ++i) {
-      bbox.ExpandToInclude(objects[i].location);
+      node.bounds.ExpandToInclude(objects[i].location);
     }
-    const bool split_x = bbox.Width() >= bbox.Height();
+    hist.nodes_.push_back(node);
+    const bool split_x = node.bounds.Width() >= node.bounds.Height();
     const size_t mid = span.begin + n / 2;
     std::nth_element(objects.begin() + span.begin, objects.begin() + mid,
                      objects.begin() + span.end,
@@ -63,14 +68,32 @@ EquiDepthHistogram EquiDepthHistogram::Build(ObjectSet objects,
     stack.push_back({mid, span.end});
   }
 
+  // Subtree ends, children before parents: an internal node's first child
+  // follows it, and its second child follows the first child's subtree.
+  for (size_t i = hist.nodes_.size(); i-- > 0;) {
+    Node& node = hist.nodes_[i];
+    node.end = node.bucket != kInternal
+                   ? static_cast<uint32_t>(i + 1)
+                   : hist.nodes_[hist.nodes_[i + 1].end].end;
+  }
+
   for (const Bucket& b : hist.buckets_) hist.total_.Merge(b.summary);
   return hist;
 }
 
 AggregateSummary EquiDepthHistogram::Estimate(const QueryRange& range) const {
   AggregateSummary acc;
-  for (const Bucket& bucket : buckets_) {
-    if (!range.Intersects(bucket.bounds)) continue;
+  for (uint32_t i = 0; i < nodes_.size();) {
+    const Node& node = nodes_[i];
+    // A bucket's bounds lie inside its ancestors', so a pruned subtree
+    // holds only buckets a linear scan would skip as well.
+    if (!range.Intersects(node.bounds)) {
+      i = node.end;
+      continue;
+    }
+    ++i;
+    if (node.bucket == kInternal) continue;
+    const Bucket& bucket = buckets_[node.bucket];
     if (range.Contains(bucket.bounds)) {
       acc.count += bucket.summary.count;
       acc.sum += bucket.summary.sum;
@@ -97,7 +120,8 @@ AggregateSummary EquiDepthHistogram::Estimate(const QueryRange& range) const {
 }
 
 size_t EquiDepthHistogram::MemoryUsage() const {
-  return buckets_.capacity() * sizeof(Bucket);
+  return buckets_.capacity() * sizeof(Bucket) +
+         nodes_.capacity() * sizeof(Node);
 }
 
 }  // namespace fra

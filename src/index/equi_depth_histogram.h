@@ -2,6 +2,7 @@
 #define FRA_INDEX_EQUI_DEPTH_HISTOGRAM_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -23,6 +24,10 @@ namespace fra {
 /// histogram-based approximate range aggregator with provable guarantees
 /// under per-bucket uniformity. Equi-depth median splits are the classic
 /// construction with bounded per-bucket error.
+///
+/// The median-split tree is kept as a preorder node array, so Estimate
+/// skips every subtree whose bounds miss the range instead of scanning
+/// all buckets.
 class EquiDepthHistogram {
  public:
   struct Options {
@@ -44,7 +49,8 @@ class EquiDepthHistogram {
   }
 
   /// Area-interpolated estimate of the aggregate summary within `range`.
-  /// min/max fields of the result are not populated.
+  /// min/max fields of the result are not populated. Buckets are summed
+  /// in buckets() order, so the result equals a linear scan bit for bit.
   AggregateSummary Estimate(const QueryRange& range) const;
 
   const std::vector<Bucket>& buckets() const { return buckets_; }
@@ -52,7 +58,18 @@ class EquiDepthHistogram {
   size_t MemoryUsage() const;
 
  private:
+  // One node of the median-split tree, in the preorder Build pops spans
+  // (right half first). Node i's subtree is nodes_[i, end); its leaves
+  // are a contiguous run of buckets_, in the same order.
+  struct Node {
+    Rect bounds;  // tight bbox of the subtree's objects
+    uint32_t end = 0;
+    uint32_t bucket = kInternal;  // leaf: index into buckets_
+  };
+  static constexpr uint32_t kInternal = UINT32_MAX;
+
   std::vector<Bucket> buckets_;
+  std::vector<Node> nodes_;
   AggregateSummary total_;
 };
 

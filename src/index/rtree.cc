@@ -186,6 +186,58 @@ void RTree::AggregateNodeClipped(uint32_t node_index, const Rect& clip,
   }
 }
 
+std::vector<AggregateSummary> RTree::RangeAggregateCells(
+    const std::vector<Rect>& cells, const QueryRange& range) const {
+  std::vector<AggregateSummary> acc(cells.size());
+  if (nodes_.empty() || cells.empty()) return acc;
+  std::vector<uint32_t> open(cells.size());
+  std::iota(open.begin(), open.end(), 0U);
+  // A root-to-leaf path holds at most height_ + 1 open lists.
+  open.reserve(cells.size() * (static_cast<size_t>(height_) + 1));
+  AggregateNodeCells(root_, cells, range, &open, 0, cells.size(), acc.data());
+  return acc;
+}
+
+void RTree::AggregateNodeCells(uint32_t node_index,
+                               const std::vector<Rect>& cells,
+                               const QueryRange& range,
+                               std::vector<uint32_t>* open, size_t begin,
+                               size_t end, AggregateSummary* acc) const {
+  const Node& node = nodes_[node_index];
+  if (!range.Intersects(node.mbr)) return;
+  const bool range_covers = range.Contains(node.mbr);
+  // Same per-cell decisions, in the same DFS order, as
+  // AggregateNodeClipped — which keeps every cell's sum bit-identical.
+  const size_t child_begin = open->size();
+  for (size_t k = begin; k < end; ++k) {
+    const uint32_t c = (*open)[k];
+    if (!cells[c].Intersects(node.mbr)) continue;
+    if (range_covers && cells[c].Contains(node.mbr)) {
+      acc[c].Merge(node.summary);
+      continue;
+    }
+    open->push_back(c);
+  }
+  const size_t child_end = open->size();
+  if (child_begin == child_end) return;
+  if (node.level == 0) {
+    for (uint32_t i = node.begin; i < node.end; ++i) {
+      const Point& p = objects_[i].location;
+      if (!range.Contains(p)) continue;
+      for (size_t k = child_begin; k < child_end; ++k) {
+        const uint32_t c = (*open)[k];
+        if (cells[c].Contains(p)) acc[c].Add(objects_[i]);
+      }
+    }
+  } else {
+    for (uint32_t child = node.begin; child < node.end; ++child) {
+      AggregateNodeCells(child, cells, range, open, child_begin, child_end,
+                         acc);
+    }
+  }
+  open->resize(child_begin);
+}
+
 void RTree::CollectInRange(const QueryRange& range,
                            std::vector<SpatialObject>* out) const {
   if (!nodes_.empty()) CollectNode(root_, range, out);

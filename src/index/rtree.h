@@ -57,12 +57,22 @@ class RTree {
                                   QueryStats* stats = nullptr) const;
 
   /// Summary of all objects within `range` AND within the rectangle
-  /// `clip`. Backs the NonIID-est per-grid-cell contributions (Alg. 3):
-  /// the silo aggregates its objects inside cell ∩ R, one boundary cell
-  /// at a time.
+  /// `clip`, one descent per clip rectangle. The reference form of
+  /// RangeAggregateCells (tests compare the two bit for bit).
   AggregateSummary RangeAggregateClipped(const Rect& clip,
                                          const QueryRange& range,
                                          QueryStats* stats = nullptr) const;
+
+  /// Element i is the summary of all objects within `range` AND within
+  /// `cells[i]`, bit-identical to RangeAggregateClipped(cells[i], range)
+  /// but computed in a single traversal. Backs the NonIID-est per-grid-cell
+  /// contributions (Alg. 3). Each node carries the cells still open for
+  /// it: a node inside cell ∩ range merges its summary into that cell and
+  /// closes it, a node missing the cell closes it, and a leaf tests its
+  /// objects only against the cells still open. Rectangles are closed, so
+  /// an object on a shared edge counts in every cell that touches it.
+  std::vector<AggregateSummary> RangeAggregateCells(
+      const std::vector<Rect>& cells, const QueryRange& range) const;
 
   /// Appends all objects inside `range` to `out`.
   void CollectInRange(const QueryRange& range,
@@ -102,6 +112,12 @@ class RTree {
   void AggregateNodeClipped(uint32_t node_index, const Rect& clip,
                             const QueryRange& range, AggregateSummary* acc,
                             QueryStats* stats) const;
+  // `open` is a stack of cell indices; this node's open cells are
+  // (*open)[begin, end) and its children's are pushed above them.
+  void AggregateNodeCells(uint32_t node_index, const std::vector<Rect>& cells,
+                          const QueryRange& range, std::vector<uint32_t>* open,
+                          size_t begin, size_t end,
+                          AggregateSummary* acc) const;
   void CollectNode(uint32_t node_index, const QueryRange& range,
                    std::vector<SpatialObject>* out) const;
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "geo/circle.h"
@@ -174,6 +175,22 @@ TEST(CircleRectAreaTest, DegenerateInputs) {
       0.0);
   EXPECT_DOUBLE_EQ(
       CircleRectIntersectionArea(Circle{{0, 0}, 1.0}, Rect::Empty()), 0.0);
+}
+
+TEST(CircleRectAreaTest, BandCrossingTheCircleFourTimes) {
+  // Both horizontal edges cut the circle twice inside [min.x, max.x]: the
+  // integration splits at all six abscissae (two ends, four crossings).
+  const Circle circle{{0, 0}, 1.0};
+  const Rect band{{-0.9, -0.5}, {0.9, 0.5}};
+  constexpr int kSteps = 200000;
+  const double dx = band.Width() / kSteps;
+  double midpoint_sum = 0.0;
+  for (int i = 0; i < kSteps; ++i) {
+    const double x = band.min.x + (i + 0.5) * dx;
+    const double c = std::sqrt(1.0 - x * x);
+    midpoint_sum += (std::min(band.max.y, c) - std::max(band.min.y, -c)) * dx;
+  }
+  EXPECT_NEAR(CircleRectIntersectionArea(circle, band), midpoint_sum, 1e-8);
 }
 
 // Property: closed-form area matches Monte Carlo for random configurations.

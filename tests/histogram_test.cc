@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "eval/metrics.h"
 #include "tests/test_util.h"
 
@@ -107,6 +110,70 @@ TEST(EquiDepthHistogramTest, DegeneratePointMassBucket) {
   const EquiDepthHistogram hist = EquiDepthHistogram::Build(objects);
   EXPECT_EQ(hist.Estimate(QueryRange::MakeCircle({5, 5}, 1)).count, 100UL);
   EXPECT_EQ(hist.Estimate(QueryRange::MakeCircle({50, 50}, 1)).count, 0UL);
+}
+
+// The plain linear scan over buckets() that Estimate prunes.
+AggregateSummary LinearScanEstimate(const EquiDepthHistogram& hist,
+                                    const QueryRange& range) {
+  AggregateSummary acc;
+  for (const EquiDepthHistogram::Bucket& bucket : hist.buckets()) {
+    if (!range.Intersects(bucket.bounds)) continue;
+    if (range.Contains(bucket.bounds)) {
+      acc.count += bucket.summary.count;
+      acc.sum += bucket.summary.sum;
+      acc.sum_sqr += bucket.summary.sum_sqr;
+      continue;
+    }
+    const double area = bucket.bounds.Area();
+    const double fraction =
+        area <= 0.0
+            ? (range.Contains(bucket.bounds.Center()) ? 1.0 : 0.0)
+            : std::clamp(range.IntersectionArea(bucket.bounds) / area, 0.0,
+                         1.0);
+    if (fraction <= 0.0) continue;
+    acc.count += static_cast<uint64_t>(
+        std::llround(static_cast<double>(bucket.summary.count) * fraction));
+    acc.sum += bucket.summary.sum * fraction;
+    acc.sum_sqr += bucket.summary.sum_sqr * fraction;
+  }
+  return acc;
+}
+
+TEST(EquiDepthHistogramTest, PrunedEstimateMatchesLinearScanBitForBit) {
+  ObjectSet objects = testing::ClusteredObjects(20000, kDomain, 6, 11);
+  // Degenerate zero-area buckets: a stack of duplicates and a vertical
+  // run of collinear points.
+  for (int i = 0; i < 600; ++i) objects.push_back({{20.0, 70.0}, 1.0});
+  for (int i = 0; i < 600; ++i) {
+    objects.push_back({{60.0, 10.0 + 0.05 * i}, 1.0});
+  }
+  testing::FractionalMeasures(&objects, 12);
+  EquiDepthHistogram::Options options;
+  options.max_buckets = 512;
+  const EquiDepthHistogram hist = EquiDepthHistogram::Build(objects, options);
+  size_t zero_area = 0;
+  for (const auto& bucket : hist.buckets()) {
+    if (bucket.bounds.Area() == 0.0) ++zero_area;
+  }
+  ASSERT_GT(zero_area, 1U);
+
+  Rng rng(13);
+  std::vector<QueryRange> ranges = {
+      QueryRange::MakeRect({-1, -1}, {101, 101}),
+      QueryRange::MakeCircle({20, 70}, 0.5),
+      QueryRange::MakeRect({55, 20}, {65, 30}),  // cuts the collinear run
+      QueryRange::MakeCircle({60, 25}, 3),
+      QueryRange::MakeCircle({500, 500}, 3),
+  };
+  for (int q = 0; q < 300; ++q) {
+    ranges.push_back(testing::RandomRange(kDomain, q % 3 == 0 ? 40.0 : 8.0,
+                                          q % 2 == 0, &rng));
+  }
+  for (size_t q = 0; q < ranges.size(); ++q) {
+    EXPECT_TRUE(testing::SameBits(hist.Estimate(ranges[q]),
+                                  LinearScanEstimate(hist, ranges[q])))
+        << "query " << q;
+  }
 }
 
 TEST(EquiDepthHistogramTest, MemoryScalesWithBuckets) {

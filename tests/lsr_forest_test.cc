@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "tests/test_util.h"
@@ -203,8 +204,58 @@ TEST(LsrForestTest, ClippedAggregateAtLevelZeroMatchesPredicate) {
       objects, [&](const Point& p) {
         return clip.Contains(p) && range.Contains(p);
       });
-  EXPECT_EQ(forest.AggregateAtLevelClipped(clip, range, 0).count,
-            expected.count);
+  const std::vector<AggregateSummary> actual =
+      forest.AggregateCellsAtLevel({clip}, range, 0);
+  ASSERT_EQ(actual.size(), 1U);
+  EXPECT_EQ(actual[0].count, expected.count);
+}
+
+TEST(LsrForestTest, CellsAtLevelMatchPerCellClippedAndScaledBitForBit) {
+  ObjectSet objects = testing::RandomObjects(20000, kDomain, 15);
+  testing::FractionalMeasures(&objects, 16);
+  const ObjectSet on_lines = testing::GridLineObjects(kDomain, 10.0, 17);
+  objects.insert(objects.end(), on_lines.begin(), on_lines.end());
+  const LsrForest forest = LsrForest::Build(objects);
+  ASSERT_GT(forest.max_level(), 4);
+
+  Rng rng(18);
+  for (int level : {0, 1, 2, 4, forest.max_level(), forest.max_level() + 3}) {
+    for (int q = 0; q < 20; ++q) {
+      const QueryRange range =
+          testing::RandomRange(kDomain, 30.0, q % 2 == 0, &rng);
+      std::vector<Rect> cells;
+      for (int row = 0; row < 10; ++row) {
+        for (int col = 0; col < 10; ++col) {
+          const Rect cell{{10.0 * col, 10.0 * row},
+                          {10.0 * (col + 1), 10.0 * (row + 1)}};
+          if (range.Intersects(cell) && !range.Contains(cell)) {
+            cells.push_back(cell);
+          }
+        }
+      }
+      const std::vector<AggregateSummary> actual =
+          forest.AggregateCellsAtLevel(cells, range, level);
+      ASSERT_EQ(actual.size(), cells.size());
+      const int l = std::min(level, forest.max_level());
+      for (size_t i = 0; i < cells.size(); ++i) {
+        AggregateSummary expected =
+            forest.tree(l).RangeAggregateClipped(cells[i], range);
+        if (l > 0) expected = expected.Scaled(std::ldexp(1.0, l));
+        EXPECT_TRUE(testing::SameBits(actual[i], expected))
+            << "level " << level << " query " << q << " cell " << i;
+      }
+    }
+  }
+}
+
+TEST(LsrForestTest, EmptyForestAnswersEmptyCells) {
+  const LsrForest forest = LsrForest::Build({});
+  const std::vector<AggregateSummary> actual = forest.AggregateCellsAtLevel(
+      {Rect{{0, 0}, {10, 10}}, Rect{{10, 0}, {20, 10}}},
+      QueryRange::MakeCircle({10, 5}, 3), 2);
+  ASSERT_EQ(actual.size(), 2U);
+  EXPECT_TRUE(actual[0].empty());
+  EXPECT_TRUE(actual[1].empty());
 }
 
 TEST(LsrForestTest, MemoryIsAboutTwiceTheBaseTree) {

@@ -139,6 +139,81 @@ TEST(RTreeTest, ClippedAggregateEqualsPredicateIntersection) {
   }
 }
 
+// The 5-unit grid cells intersecting `range`, contained ones included.
+std::vector<Rect> CellsIntersecting(const QueryRange& range) {
+  std::vector<Rect> cells;
+  for (int row = 0; row < 20; ++row) {
+    for (int col = 0; col < 20; ++col) {
+      const Rect cell{{5.0 * col, 5.0 * row},
+                      {5.0 * (col + 1), 5.0 * (row + 1)}};
+      if (range.Intersects(cell)) cells.push_back(cell);
+    }
+  }
+  return cells;
+}
+
+TEST(RTreeTest, RangeAggregateCellsMatchesPerCellClippedBitForBit) {
+  ObjectSet objects = testing::ClusteredObjects(4000, kDomain, 5, 21);
+  testing::FractionalMeasures(&objects, 22);
+  const ObjectSet on_lines = testing::GridLineObjects(kDomain, 5.0, 23);
+  objects.insert(objects.end(), on_lines.begin(), on_lines.end());
+
+  RTree::Options narrow;
+  narrow.leaf_capacity = 4;
+  narrow.fanout = 3;
+  for (const RTree::Options& options : {RTree::Options(), narrow}) {
+    const RTree tree = RTree::Build(objects, options);
+    Rng rng(24);
+    for (int q = 0; q < 90; ++q) {
+      QueryRange range;
+      if (q % 3 == 2) {
+        // Grid-aligned square: its boundary runs along cell edges, through
+        // the objects placed there.
+        const double x = 5.0 * static_cast<double>(rng.NextInt64(0, 15));
+        const double y = 5.0 * static_cast<double>(rng.NextInt64(0, 15));
+        const double side = 5.0 * static_cast<double>(rng.NextInt64(1, 4));
+        range = QueryRange::MakeRect({x, y}, {x + side, y + side});
+      } else {
+        range = testing::RandomRange(kDomain, 20.0, q % 3 == 0, &rng);
+      }
+      const std::vector<Rect> cells = CellsIntersecting(range);
+      const std::vector<AggregateSummary> actual =
+          tree.RangeAggregateCells(cells, range);
+      ASSERT_EQ(actual.size(), cells.size());
+      for (size_t i = 0; i < cells.size(); ++i) {
+        EXPECT_TRUE(testing::SameBits(
+            actual[i], tree.RangeAggregateClipped(cells[i], range)))
+            << "query " << q << " cell " << i;
+      }
+    }
+  }
+}
+
+TEST(RTreeTest, RangeAggregateCellsCountsSharedCornerInEveryCell) {
+  const RTree tree = RTree::Build({{{5.0, 5.0}, 2.5}, {{7.0, 2.0}, 1.0}});
+  const std::vector<Rect> cells = {Rect{{0, 0}, {5, 5}}, Rect{{5, 0}, {10, 5}},
+                                   Rect{{0, 5}, {5, 10}},
+                                   Rect{{5, 5}, {10, 10}}};
+  const std::vector<AggregateSummary> actual =
+      tree.RangeAggregateCells(cells, QueryRange::MakeCircle({5, 5}, 1));
+  ASSERT_EQ(actual.size(), 4U);
+  for (const AggregateSummary& summary : actual) {
+    EXPECT_EQ(summary.count, 1U);
+    EXPECT_EQ(summary.sum, 2.5);
+  }
+}
+
+TEST(RTreeTest, RangeAggregateCellsOnEmptyInputs) {
+  const QueryRange range = QueryRange::MakeCircle({50, 50}, 10);
+  const std::vector<Rect> cells = {Rect{{45, 45}, {50, 50}}};
+  const std::vector<AggregateSummary> from_empty_tree =
+      RTree::Build({}).RangeAggregateCells(cells, range);
+  ASSERT_EQ(from_empty_tree.size(), 1U);
+  EXPECT_TRUE(from_empty_tree[0].empty());
+  const RTree tree = RTree::Build(testing::RandomObjects(100, kDomain, 25));
+  EXPECT_TRUE(tree.RangeAggregateCells({}, range).empty());
+}
+
 TEST(RTreeTest, CollectInRangeReturnsExactlyTheContainedObjects) {
   const ObjectSet objects = testing::RandomObjects(500, kDomain, 5);
   const RTree tree = RTree::Build(objects);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "tests/test_util.h"
 
 namespace fra {
@@ -145,6 +147,128 @@ TEST(SiloTest, BoundaryPlusInteriorEqualsExact) {
   const AggregateSummary exact = silo->ExactRangeAggregate(range);
   EXPECT_EQ(interior.count + boundary.count, exact.count);
   EXPECT_NEAR(interior.sum + boundary.sum, exact.sum, 1e-9);
+}
+
+// What the one-pass cell vector must reproduce bit for bit: one clipped
+// descent of T_level per boundary cell, rescaled by 2^level, then the
+// ingest delta scanned once per cell.
+std::vector<CellContribution> PerCellReference(
+    const GridIndex& grid, const LsrForest& forest, int level,
+    const ObjectSet& delta, const QueryRange& range, bool full_vector) {
+  std::vector<CellContribution> out;
+  grid.ForEachIntersectingCell(range, [&](size_t id, CellRelation relation) {
+    CellContribution contribution;
+    contribution.cell_id = static_cast<uint32_t>(id);
+    if (relation == CellRelation::kContained) {
+      if (!full_vector) return;
+      contribution.summary = grid.cell(id);
+    } else {
+      const Rect cell = grid.CellRect(grid.RowOf(id), grid.ColOf(id));
+      contribution.summary =
+          forest.tree(level).RangeAggregateClipped(cell, range);
+      if (level > 0) {
+        contribution.summary =
+            contribution.summary.Scaled(std::ldexp(1.0, level));
+      }
+      if (!delta.empty()) {
+        contribution.summary.Merge(SummarizeIf(delta, [&](const Point& p) {
+          return cell.Contains(p) && range.Contains(p);
+        }));
+      }
+    }
+    out.push_back(contribution);
+  });
+  return out;
+}
+
+TEST(SiloTest, CellVectorMatchesPerCellReferenceBitForBit) {
+  ObjectSet base = testing::RandomObjects(30000, kDomain, 16);
+  testing::FractionalMeasures(&base, 17);
+  const ObjectSet base_lines = testing::GridLineObjects(kDomain, 2.0, 18);
+  base.insert(base.end(), base_lines.begin(), base_lines.end());
+  Silo::Options options = DefaultOptions();
+  options.compact_fraction = 0.0;  // keep the ingest delta uncompacted
+  const auto silo = MakeSilo(base, options);
+
+  ObjectSet delta = testing::RandomObjects(400, kDomain, 19);
+  testing::FractionalMeasures(&delta, 20);
+  const ObjectSet delta_lines = testing::GridLineObjects(kDomain, 2.0, 21);
+  delta.insert(delta.end(), delta_lines.begin(), delta_lines.end());
+  silo->Ingest(delta);
+  ASSERT_EQ(silo->pending_ingest(), delta.size());
+
+  // The silo's own forest, rebuilt from the same objects and seed (id 0).
+  LsrForest::Options lsr_options;
+  lsr_options.rtree = options.rtree;
+  lsr_options.seed = options.lsr_seed;
+  const LsrForest forest = LsrForest::Build(base, lsr_options);
+
+  Rng rng(22);
+  int lsr_levels_above_zero = 0;
+  for (int q = 0; q < 40; ++q) {
+    const QueryRange range =
+        testing::RandomRange(kDomain, 12.0, q % 2 == 0, &rng);
+    const double epsilon = 0.3;
+    const double delta_prob = 0.05;
+    const double sum0 = q % 4 < 2 ? 1e4 : 50.0;
+    const int level =
+        LsrForest::SelectLevel(epsilon, delta_prob, sum0, forest.max_level());
+    lsr_levels_above_zero += level > 0;
+    for (const bool use_lsr : {false, true}) {
+      for (const bool full_vector : {false, true}) {
+        const std::vector<CellContribution> actual =
+            full_vector ? silo->AllCellContributions(range, use_lsr, epsilon,
+                                                     delta_prob, sum0)
+                        : silo->BoundaryCellContributions(
+                              range, use_lsr, epsilon, delta_prob, sum0);
+        const std::vector<CellContribution> expected =
+            PerCellReference(silo->grid(), forest, use_lsr ? level : 0,
+                             delta, range, full_vector);
+        ASSERT_EQ(actual.size(), expected.size());
+        for (size_t i = 0; i < actual.size(); ++i) {
+          EXPECT_EQ(actual[i].cell_id, expected[i].cell_id);
+          EXPECT_TRUE(testing::SameBits(actual[i].summary, expected[i].summary))
+              << "query " << q << " lsr " << use_lsr << " full "
+              << full_vector << " cell " << i;
+        }
+      }
+    }
+  }
+  EXPECT_GT(lsr_levels_above_zero, 0);
+}
+
+TEST(SiloTest, EmptySiloAnswersEmptyCellVectors) {
+  Silo::Options options = DefaultOptions();
+  options.compact_fraction = 0.0;  // keep the ingest below uncompacted
+  const auto silo = MakeSilo({}, options);
+  const QueryRange range = QueryRange::MakeCircle({25, 25}, 5);
+  for (const bool use_lsr : {false, true}) {
+    const std::vector<CellContribution> cells =
+        silo->BoundaryCellContributions(range, use_lsr, 0.1, 0.01, 1e4);
+    ASSERT_FALSE(cells.empty());
+    for (const CellContribution& cell : cells) {
+      EXPECT_TRUE(cell.summary.empty());
+    }
+    CellVectorRequest request;
+    request.range = range;
+    request.mode = use_lsr ? LocalQueryMode::kLsr : LocalQueryMode::kExact;
+    const auto response = silo->HandleMessage(request.Encode()).ValueOrDie();
+    EXPECT_EQ(DecodeCellVectorResponse(response).ValueOrDie().size(),
+              cells.size());
+  }
+
+  // Objects ingested into the empty silo are answered from the delta.
+  silo->Ingest({{{25.5, 29.5}, 3.0}});
+  ASSERT_EQ(silo->pending_ingest(), 1U);
+  for (const bool use_lsr : {false, true}) {
+    AggregateSummary total;
+    for (const CellContribution& cell :
+         silo->BoundaryCellContributions(range, use_lsr, 0.1, 0.01, 1e4)) {
+      total.Merge(cell.summary);
+    }
+    EXPECT_EQ(total.count, 1U);
+    EXPECT_EQ(total.sum, 3.0);
+  }
 }
 
 TEST(SiloTest, HandleMessageGridRequest) {

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "agg/aggregate.h"
 #include "agg/spatial_object.h"
 #include "geo/range.h"
 #include "geo/rect.h"
@@ -61,6 +62,48 @@ inline ObjectSet ClusteredObjects(size_t n, const Rect& domain, size_t clusters,
     objects.push_back(o);
   }
   return objects;
+}
+
+/// Objects on the lines of a grid of `cell_length` cells anchored at
+/// `domain.min`: one on every corner and one at a random offset along
+/// every vertical and horizontal edge line, with non-integer measures.
+/// Exercises the closed-cell rule (an object on a shared edge belongs to
+/// every cell touching it).
+inline ObjectSet GridLineObjects(const Rect& domain, double cell_length,
+                                 uint64_t seed) {
+  Rng rng(seed);
+  ObjectSet objects;
+  const int cols = static_cast<int>(domain.Width() / cell_length);
+  const int rows = static_cast<int>(domain.Height() / cell_length);
+  for (int row = 0; row <= rows; ++row) {
+    for (int col = 0; col <= cols; ++col) {
+      const double x = domain.min.x + col * cell_length;
+      const double y = domain.min.y + row * cell_length;
+      objects.push_back({{x, y}, rng.NextDouble(-1.0, 5.0)});
+      objects.push_back({{x, rng.NextDouble(domain.min.y, domain.max.y)},
+                         rng.NextDouble(-1.0, 5.0)});
+      objects.push_back({{rng.NextDouble(domain.min.x, domain.max.x), y},
+                         rng.NextDouble(-1.0, 5.0)});
+    }
+  }
+  return objects;
+}
+
+/// Replaces every measure with a non-integer one, so a change in the
+/// order sums are accumulated in shows up in the low bits.
+inline void FractionalMeasures(ObjectSet* objects, uint64_t seed) {
+  Rng rng(seed);
+  for (SpatialObject& o : *objects) o.measure = rng.NextDouble(-1.0, 5.0);
+}
+
+/// True when two summaries are identical bit for bit (every field,
+/// including the signs of zeros).
+inline bool SameBits(const AggregateSummary& a, const AggregateSummary& b) {
+  return std::memcmp(&a.count, &b.count, sizeof(a.count)) == 0 &&
+         std::memcmp(&a.sum, &b.sum, sizeof(a.sum)) == 0 &&
+         std::memcmp(&a.sum_sqr, &b.sum_sqr, sizeof(a.sum_sqr)) == 0 &&
+         std::memcmp(&a.min, &b.min, sizeof(a.min)) == 0 &&
+         std::memcmp(&a.max, &b.max, sizeof(a.max)) == 0;
 }
 
 /// A random circle or square query inside `domain`.
