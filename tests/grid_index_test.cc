@@ -102,11 +102,19 @@ TEST(GridIndexTest, BlockAggregateMatchesManualSum) {
   }
 }
 
+// gtest names each case after a byte dump of its parameter, so the bytes
+// after `circle` are an explicit zeroed member instead of indeterminate
+// padding; otherwise the test names change from build to build.
 struct GridQueryParam {
+  GridQueryParam(double length, bool is_circle, size_t objects)
+      : cell_length(length), circle(is_circle), num_objects(objects) {}
+
   double cell_length;
   bool circle;
+  char zero_fill[7] = {};
   size_t num_objects;
 };
+static_assert(sizeof(GridQueryParam) == 24, "no implicit padding");
 
 class GridQueryPropertyTest : public ::testing::TestWithParam<GridQueryParam> {
 };
