@@ -298,6 +298,13 @@ uint64_t ServiceProvider::SampledTraceId() {
 
 Result<double> ServiceProvider::Execute(const FraQuery& query,
                                         FraAlgorithm algorithm) {
+  const uint64_t draw = IsSingleSilo(algorithm) ? NextDraw() : 0;
+  return ExecuteOne(query, algorithm, draw, nullptr);
+}
+
+Result<double> ServiceProvider::ExecuteOne(const FraQuery& query,
+                                           FraAlgorithm algorithm,
+                                           uint64_t draw, double* seconds) {
   // A fresh trace id for every sampled query once the Tracer is enabled
   // (Options::trace_sample_every_n); otherwise keep whatever context the
   // caller installed (0 by default, so the wire format stays
@@ -319,35 +326,27 @@ Result<double> ServiceProvider::Execute(const FraQuery& query,
   CacheOutcome outcome = CacheOutcome::kOff;
   Result<double> result = [&]() -> Result<double> {
     FRA_TRACE_SPAN("provider.execute");
-    const uint64_t draw = IsSingleSilo(algorithm) ? NextDraw() : 0;
     return ExecuteCached(query, algorithm, draw, &outcome);
   }();
-  const double seconds = timer.ElapsedSeconds();
+  const double elapsed = timer.ElapsedSeconds();
   cost_tracker.AddCpuMicros(ThreadCpuMicros() - cpu_start);
   if (span_batch.has_value()) {
     std::vector<SpanRecord> spans = span_batch->Take();
     span_batch.reset();  // uninstall before Ingest so it reaches the ring
     Tracer::Get().Ingest(std::move(spans), std::string());
   }
-  FinishQueryAccounting(query, algorithm, result, outcome, trace_id, seconds,
-                        &flight_log, cost_tracker);
-  return result;
-}
-
-void ServiceProvider::FinishQueryAccounting(
-    const FraQuery& query, FraAlgorithm algorithm, const Result<double>& result,
-    CacheOutcome outcome, uint64_t trace_id, double seconds,
-    QueryFlightLog* flight_log, const QueryCostTracker& cost_tracker) {
-  RecordQueryMetrics(algorithm, result.ok(), seconds);
+  RecordQueryMetrics(algorithm, result.ok(), elapsed);
   const QueryCost cost = cost_tracker.Snapshot();
   if (cost_ledger_ != nullptr) {
     cost_ledger_->Record(FraAlgorithmToString(algorithm),
                          AggregateKindToString(query.kind),
                          CacheOutcomeName(outcome), result.ok(), cost);
   }
-  MaybeRecordFlight(query, algorithm, result, outcome, trace_id, seconds * 1e6,
-                    flight_log, cost);
+  MaybeRecordFlight(query, algorithm, result, outcome, trace_id,
+                    elapsed * 1e6, &flight_log, cost);
   MaybeAuditAsync(query, algorithm, result, ServedFromCache(outcome));
+  if (seconds != nullptr) *seconds = elapsed;
+  return result;
 }
 
 Result<double> ServiceProvider::ExecuteCached(const FraQuery& query,
@@ -888,8 +887,7 @@ Result<std::vector<double>> ServiceProvider::ExecuteBatch(
   // deterministic given the seed, independent of worker scheduling
   // (Alg. 4 line 2).
   std::vector<uint64_t> draws(queries.size(), 0);
-  const bool single_silo = IsSingleSilo(algorithm);
-  if (single_silo) {
+  if (IsSingleSilo(algorithm)) {
     std::lock_guard<std::mutex> lock(rng_mu_);
     for (uint64_t& draw : draws) draw = rng_.NextUint64();
   }
@@ -899,37 +897,12 @@ Result<std::vector<double>> ServiceProvider::ExecuteBatch(
   // submissions instead of 10k queue/future round trips.
   std::atomic<size_t> next_query{0};
   const auto worker = [this, &queries, &results, &statuses, &draws,
-                       algorithm, single_silo, latencies_seconds,
-                       &next_query] {
+                       algorithm, latencies_seconds, &next_query] {
     for (size_t i = next_query.fetch_add(1); i < queries.size();
          i = next_query.fetch_add(1)) {
-      ScopedTraceId trace_scope(SampledTraceId());
-      const uint64_t trace_id = CurrentTraceId();
-      QueryFlightLog flight_log;
-      QueryCostTracker cost_tracker;
-      // One ring-lock acquisition per query at drain time (see Execute):
-      // without this, every span of every worker contends on the tracer.
-      std::optional<SpanCollector> span_batch;
-      if (trace_id != 0) span_batch.emplace();
-      Timer timer;
-      const double cpu_start = ThreadCpuMicros();
-      CacheOutcome outcome = CacheOutcome::kOff;
-      Result<double> result = [&]() -> Result<double> {
-        FRA_TRACE_SPAN("provider.execute");
-        return ExecuteCached(queries[i], algorithm, draws[i], &outcome);
-      }();
-      const double seconds = timer.ElapsedSeconds();
-      cost_tracker.AddCpuMicros(ThreadCpuMicros() - cpu_start);
-      if (span_batch.has_value()) {
-        std::vector<SpanRecord> spans = span_batch->Take();
-        span_batch.reset();
-        Tracer::Get().Ingest(std::move(spans), std::string());
-      }
-      if (latencies_seconds != nullptr) {
-        (*latencies_seconds)[i] = seconds;
-      }
-      FinishQueryAccounting(queries[i], algorithm, result, outcome, trace_id,
-                            seconds, &flight_log, cost_tracker);
+      Result<double> result = ExecuteOne(
+          queries[i], algorithm, draws[i],
+          latencies_seconds != nullptr ? &(*latencies_seconds)[i] : nullptr);
       if (result.ok()) {
         results[i] = *result;
       } else {

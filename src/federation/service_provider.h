@@ -363,13 +363,13 @@ class ServiceProvider {
                          uint64_t trace_id, double micros, QueryFlightLog* log,
                          const QueryCost& cost);
 
-  /// Ledger + flight-recorder + audit tail shared by Execute and the
-  /// ExecuteBatch workers, after the query's timer has been read.
-  void FinishQueryAccounting(const FraQuery& query, FraAlgorithm algorithm,
-                             const Result<double>& result,
-                             CacheOutcome outcome, uint64_t trace_id,
-                             double seconds, QueryFlightLog* flight_log,
-                             const QueryCostTracker& cost_tracker);
+  /// One query end to end, shared by Execute and the ExecuteBatch
+  /// workers: trace scope, flight log, cost tracker, span batch and CPU
+  /// timer around ExecuteCached, then the metrics, ledger, flight-recorder
+  /// and audit tail. `draw` is the caller's pre-drawn silo-sampling
+  /// randomness; `*seconds` (optional) receives the query's wall time.
+  Result<double> ExecuteOne(const FraQuery& query, FraAlgorithm algorithm,
+                            uint64_t draw, double* seconds);
 
   Network* network_;
   Options options_;

@@ -288,10 +288,9 @@ class FrameWriter {
 };
 
 /// What an accept() failure means for the accept loop. Factored out so
-/// the policy is unit-testable and shared by the reactor and legacy
-/// accept paths (the old loop killed the listener on ANY errno other
-/// than EINTR — one aborted handshake or a transient fd-limit spike
-/// silently stopped the server).
+/// the policy is unit-testable: killing the listener on ANY errno other
+/// than EINTR would let one aborted handshake or a transient fd-limit
+/// spike silently stop the server.
 enum class AcceptAction {
   kRetry,    // transient per-connection failure: try the next accept
   kBackoff,  // resource exhaustion (EMFILE/ENFILE/...): pause briefly,

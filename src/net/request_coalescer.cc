@@ -26,7 +26,7 @@ const std::vector<double>& BatchSizeBuckets() {
 RequestCoalescer::RequestCoalescer(Network* network, const Options& options)
     : network_(network),
       options_(options),
-      use_reactor_(network->reactor() != nullptr) {
+      reactor_(network->reactor()) {
   MetricsRegistry& registry = MetricsRegistry::Default();
   flushes_size_ =
       &registry.GetCounter("fra_batch_flushes_total", {{"reason", "size"}});
@@ -46,7 +46,7 @@ RequestCoalescer::~RequestCoalescer() {
     queues.reserve(queues_.size());
     for (auto& [id, queue] : queues_) queues.emplace_back(id, queue.get());
   }
-  if (use_reactor_) {
+  if (reactor_ != nullptr) {
     // Disarm every pending deadline timer on its loop (SubmitAndWait
     // also serialises after any still-queued arming task), then ship
     // what is still staged so every caller gets an answer. The shutdown
@@ -98,8 +98,8 @@ RequestCoalescer::SiloQueue* RequestCoalescer::QueueFor(int silo_id) {
   if (it == queues_.end()) {
     it = queues_.emplace(silo_id, std::make_unique<SiloQueue>()).first;
     SiloQueue* queue = it->second.get();
-    if (use_reactor_) {
-      queue->loop = network_->reactor()->NextLoop();
+    if (reactor_ != nullptr) {
+      queue->loop = reactor_->NextLoop();
     } else {
       queue->flusher =
           std::thread([this, silo_id, queue] { FlusherLoop(silo_id, queue); });
@@ -166,7 +166,7 @@ void RequestCoalescer::Stage(int silo_id, const std::vector<uint8_t>& request,
     staged_gauge_->Add(1.0);
     if (queue->staged.size() >= std::max<size_t>(1, options_.max_batch_size)) {
       to_send.swap(queue->staged);
-    } else if (use_reactor_) {
+    } else if (reactor_ != nullptr) {
       if (options_.max_batch_delay_us <= 0) {
         // Eager mode: nothing to wait for, ship the lone entry now.
         to_send.swap(queue->staged);

@@ -42,12 +42,12 @@ class Histogram;
 ///
 /// The deadline trigger runs on one of two substrates:
 ///
-///   * reactor — when the wrapped network exposes a Reactor (TcpNetwork's
-///     default mode), the deadline is a timer-wheel entry on one of its
-///     event loops and batches ship through Network::CallAsync; the
-///     coalescer owns no threads at all.
-///   * thread  — otherwise (in-process network, legacy TCP pool) a
-///     per-silo flusher thread arms the deadline, exactly as before.
+///   * reactor — when the wrapped network exposes a Reactor (TcpNetwork),
+///     the deadline is a timer-wheel entry on one of its event loops and
+///     batches ship through Network::CallAsync; the coalescer owns no
+///     threads at all.
+///   * thread  — otherwise (the in-process network) a per-silo flusher
+///     thread arms the deadline.
 ///
 /// The response frame's entries are scattered positionally back to the
 /// waiting callers. Per-entry failures arrive as embedded error-response
@@ -157,7 +157,8 @@ class RequestCoalescer {
 
   Network* const network_;
   const Options options_;
-  const bool use_reactor_;  // network_->reactor() != nullptr at ctor time
+  // network_->reactor() at ctor time; nullptr selects the thread substrate.
+  Reactor* const reactor_;
 
   std::mutex mu_;  // guards queues_ map structure
   std::unordered_map<int, std::unique_ptr<SiloQueue>> queues_;

@@ -1,8 +1,8 @@
 // The epoll reactor core (timer wheel, event loop, frame state machines,
 // accept-errno policy) plus the network behaviours the reactor exists
 // for: deadlines firing off the wheel, partial-write backpressure with a
-// slow reader, Stop() during in-flight requests, reactor/legacy EXACT
-// equivalence, bounded connection-churn resources in the legacy path,
+// slow reader, Stop() during in-flight requests, TCP/in-process EXACT
+// bit-identity, bounded threads and connections under connection churn,
 // and deadline flushes of the RequestCoalescer running off the reactor
 // instead of flusher threads.
 
@@ -15,18 +15,23 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <future>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "federation/service_provider.h"
 #include "federation/silo.h"
 #include "net/message.h"
+#include "net/network.h"
 #include "net/request_coalescer.h"
 #include "net/tcp_network.h"
 #include "tests/test_util.h"
@@ -609,88 +614,130 @@ TEST(ReactorNetTest, StopDuringInFlightRequestsNeverLosesACallback) {
   EXPECT_EQ(completed.load(), kCalls);
 }
 
-TEST(ReactorNetTest, ReactorAndLegacyExactResultsAreBitIdentical) {
-  std::vector<ObjectSet> partitions;
-  for (int s = 0; s < 2; ++s) {
-    partitions.push_back(testing::RandomObjects(3000, kDomain, 40 + s));
-  }
+TEST(ReactorNetTest, TcpAndInProcessExactResultsAreBitIdentical) {
   Silo::Options silo_options;
   silo_options.grid_spec.domain = kDomain;
   silo_options.grid_spec.cell_length = 2.0;
 
+  // The same silos behind both transports. Fractional measures make SUM
+  // sensitive to the order in which silo answers are combined.
   std::vector<std::unique_ptr<Silo>> silos;
-  std::vector<std::unique_ptr<TcpSiloServer>> reactor_servers;
-  std::vector<std::unique_ptr<TcpSiloServer>> legacy_servers;
-  TcpSiloServer::Options legacy_server_options;
-  legacy_server_options.use_reactor = false;
-
-  TcpNetwork reactor_net;
-  TcpNetwork::Options legacy_options;
-  legacy_options.use_reactor = false;
-  TcpNetwork legacy_net(legacy_options);
-  ASSERT_NE(reactor_net.reactor(), nullptr);
-  ASSERT_EQ(legacy_net.reactor(), nullptr);
-
-  for (int s = 0; s < 2; ++s) {
-    silos.push_back(Silo::Create(s, partitions[s], silo_options).ValueOrDie());
-    reactor_servers.push_back(
-        TcpSiloServer::Start(silos.back().get()).ValueOrDie());
-    legacy_servers.push_back(
-        TcpSiloServer::Start(silos.back().get(), 0, legacy_server_options)
-            .ValueOrDie());
-    ASSERT_TRUE(reactor_net.AddSilo(s, reactor_servers.back()->port()).ok());
-    ASSERT_TRUE(legacy_net.AddSilo(s, legacy_servers.back()->port()).ok());
+  std::vector<std::unique_ptr<TcpSiloServer>> servers;
+  TcpNetwork tcp_net;
+  InProcessNetwork inprocess_net;
+  Rng measure_rng(41);
+  for (int s = 0; s < 3; ++s) {
+    ObjectSet objects = testing::RandomObjects(3000, kDomain, 40 + s);
+    for (SpatialObject& object : objects) {
+      object.measure = measure_rng.NextDouble(0.0, 10.0);
+    }
+    silos.push_back(Silo::Create(s, objects, silo_options).ValueOrDie());
+    servers.push_back(TcpSiloServer::Start(silos.back().get()).ValueOrDie());
+    ASSERT_TRUE(tcp_net.AddSilo(s, servers.back()->port()).ok());
+    ASSERT_TRUE(inprocess_net.RegisterSilo(s, silos.back().get()).ok());
   }
+  ASSERT_NE(tcp_net.reactor(), nullptr);
 
-  auto reactor_provider = ServiceProvider::Create(&reactor_net).ValueOrDie();
-  auto legacy_provider = ServiceProvider::Create(&legacy_net).ValueOrDie();
+  auto tcp_provider = ServiceProvider::Create(&tcp_net).ValueOrDie();
+  auto inprocess_provider =
+      ServiceProvider::Create(&inprocess_net).ValueOrDie();
 
+  const auto bits = [](double value) {
+    uint64_t out = 0;
+    std::memcpy(&out, &value, sizeof(out));
+    return out;
+  };
   Rng rng(77);
   for (int q = 0; q < 8; ++q) {
     const QueryRange range = testing::RandomRange(kDomain, 9.0, true, &rng);
-    const FraQuery query{range, AggregateKind::kCount};
-    // EXACT is deterministic: both serving substrates must agree bit for
-    // bit.
-    EXPECT_DOUBLE_EQ(
-        reactor_provider->Execute(query, FraAlgorithm::kExact).ValueOrDie(),
-        legacy_provider->Execute(query, FraAlgorithm::kExact).ValueOrDie());
+    for (const AggregateKind kind : {AggregateKind::kCount,
+                                     AggregateKind::kSum}) {
+      const FraQuery query{range, kind};
+      // EXACT is deterministic: both transports must agree bit for bit.
+      const double over_tcp =
+          tcp_provider->Execute(query, FraAlgorithm::kExact).ValueOrDie();
+      const double in_process =
+          inprocess_provider->Execute(query, FraAlgorithm::kExact)
+              .ValueOrDie();
+      EXPECT_EQ(bits(over_tcp), bits(in_process))
+          << "query " << q << " aggregate " << static_cast<int>(kind) << ": "
+          << over_tcp << " vs " << in_process;
+    }
   }
 }
 
-TEST(ReactorNetTest, LegacyChurnKeepsThreadAndConnectionUsageBounded) {
-  EchoEndpoint echo;
-  TcpSiloServer::Options options;
-  options.use_reactor = false;
-  auto server = TcpSiloServer::Start(&echo, 0, options).ValueOrDie();
-
-  // 50 connect/exchange/close cycles. Before the reaping fix the server
-  // kept one dead std::thread per connection ever accepted; now the
-  // tracked set stays bounded by live connections plus at most a few
-  // finished-but-unreaped threads awaiting the next accept.
-  size_t max_tracked = 0;
-  for (int i = 0; i < 50; ++i) {
-    const int fd = DialBlocking(server->port());
-    SendRawFrame(fd, {static_cast<uint8_t>(i)});
-    EXPECT_EQ(RecvRawFrame(fd), std::vector<uint8_t>({static_cast<uint8_t>(i)}));
-    ::close(fd);
-    max_tracked = std::max(max_tracked, server->tracked_connection_threads());
+// Threads: line of /proc/self/status — the process's live thread count.
+size_t ProcessThreadCount() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) {
+      return static_cast<size_t>(std::stoul(line.substr(8)));
+    }
   }
-  EXPECT_LE(max_tracked, 8u) << "connection churn grew the thread set";
+  ADD_FAILURE() << "no Threads: line in /proc/self/status";
+  return 0;
+}
 
-  // One more accept reaps everything the closed connections retired.
+TEST(ReactorNetTest, ConnectionChurnKeepsThreadsAndConnectionsBounded) {
+  EchoEndpoint echo;
+  auto server = TcpSiloServer::Start(&echo).ValueOrDie();
+  EXPECT_EQ(server->open_connections(), 0u);
+
+  const auto cycle = [&server](uint8_t tag) {
+    const int fd = DialBlocking(server->port());
+    SendRawFrame(fd, {tag});
+    EXPECT_EQ(RecvRawFrame(fd), std::vector<uint8_t>({tag}));
+    // The response came back, so the server has adopted the connection.
+    EXPECT_GE(server->open_connections(), 1u);
+    ::close(fd);
+  };
+  // The first exchange brings up whatever the process starts lazily; the
+  // thread baseline is taken after it.
+  cycle(0);
+  const size_t baseline_threads = ProcessThreadCount();
+
+  // 50 connect/exchange/close cycles: the loops and the handler pool are
+  // fixed, so no connection may add a thread.
+  size_t max_threads = baseline_threads;
+  for (int i = 1; i <= 50; ++i) {
+    cycle(static_cast<uint8_t>(i));
+    max_threads = std::max(max_threads, ProcessThreadCount());
+  }
+  EXPECT_LE(max_threads, baseline_threads)
+      << "connection churn grew the thread count";
+
+  // Every close is seen by the server's loops within a deadline.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  size_t tracked = server->tracked_connection_threads();
-  while (tracked > 2 && std::chrono::steady_clock::now() < deadline) {
-    const int fd = DialBlocking(server->port());
-    SendRawFrame(fd, {1});
-    EXPECT_EQ(RecvRawFrame(fd), std::vector<uint8_t>({1}));
-    ::close(fd);
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    tracked = server->tracked_connection_threads();
+  while (server->open_connections() > 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  EXPECT_LE(tracked, 2u);
-  EXPECT_GE(echo.calls.load(), 50);
+  EXPECT_EQ(server->open_connections(), 0u);
+  EXPECT_EQ(echo.calls.load(), 51);
+}
+
+// Open descriptors of this process (entries of /proc/self/fd).
+size_t OpenFdCount() {
+  size_t count = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    (void)entry;
+    ++count;
+  }
+  return count;
+}
+
+TEST(ReactorNetTest, FailedStartReleasesItsListeningSocket) {
+  EchoEndpoint echo;
+  auto server = TcpSiloServer::Start(&echo).ValueOrDie();
+  const size_t fds_before = OpenFdCount();
+  // The port is taken by `server`, so bind fails after socket().
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_FALSE(TcpSiloServer::Start(&echo, server->port()).ok());
+  }
+  EXPECT_EQ(OpenFdCount(), fds_before);
 }
 
 TEST(ReactorNetTest, CoalescerDeadlineFlushRunsOffTheReactor) {
